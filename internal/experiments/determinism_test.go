@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"strings"
 	"testing"
 
@@ -19,11 +22,19 @@ func smallParams(parallel int) ReportParams {
 	return p
 }
 
+// runAllDigest is the SHA-256 of the serial smallParams(1) RunAll report. It
+// pins the report bytes across commits, not just across worker counts: a
+// speed change to the simulator must leave it untouched. Re-capture (only
+// when an intended model change occurs) with:
+//
+//	RUNALL_DIGEST_CAPTURE=1 go test -run TestRunAllParallelByteIdentical -v ./internal/experiments
+const runAllDigest = "e072e922a941b88b541c2ab4fb839b46ca4b2628b914e1bdcf3702a6d3e3d0a4"
+
 // TestRunAllParallelByteIdentical is the tentpole guarantee: the full JSON
 // report — every table, figure and sweep — is byte-for-byte identical at
-// -parallel 1, 2 and 8. Cell seeds are positional (cell identity, never
-// worker identity) and collection is order-preserving, so the worker count
-// can only change wall-clock.
+// -parallel 1, 2 and 8, and the serial report hashes to runAllDigest. Cell
+// seeds are positional (cell identity, never worker identity) and collection
+// is order-preserving, so the worker count can only change wall-clock.
 func TestRunAllParallelByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full report runs")
@@ -40,6 +51,13 @@ func TestRunAllParallelByteIdentical(t *testing.T) {
 		return b.String()
 	}
 	serial := render(1)
+	sum := sha256.Sum256([]byte(serial))
+	digest := hex.EncodeToString(sum[:])
+	if os.Getenv("RUNALL_DIGEST_CAPTURE") != "" {
+		t.Logf("runAllDigest = %q", digest)
+	} else if digest != runAllDigest {
+		t.Errorf("serial report digest %s, want %s: the report bytes changed", digest, runAllDigest)
+	}
 	for _, p := range []int{2, 8} {
 		if got := render(p); got != serial {
 			i := 0

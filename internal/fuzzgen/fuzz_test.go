@@ -41,6 +41,8 @@ func FuzzInterpVsPipeline(f *testing.F) { fuzzTarget(f, "FuzzInterpVsPipeline") 
 // FuzzPipelineInvariants drives machine-reuse, SMT-lockstep and kernel-probe
 // harnesses with a pipeline.InvariantChecker attached, failing on any
 // structural breach (occupancy bounds, retire order, uop leaks across Reset).
+// The machine-reuse harness also replays each run on a lockstep twin and
+// fails when skip-ahead and per-cycle stepping disagree.
 func FuzzPipelineInvariants(f *testing.F) { fuzzTarget(f, "FuzzPipelineInvariants") }
 
 // FuzzServerCanonicalization checks the serving cache's contract: Normalize

@@ -12,6 +12,7 @@ import (
 	"whisper/internal/cpu"
 	"whisper/internal/experiments"
 	"whisper/internal/interp"
+	"whisper/internal/isa"
 	"whisper/internal/kernel"
 	"whisper/internal/pipeline"
 	"whisper/internal/server"
@@ -52,7 +53,7 @@ func Targets() []Target {
 		{
 			Name:     "invariants",
 			FuzzName: "FuzzPipelineInvariants",
-			Doc:      "pipeline self-invariants under Reset reuse, SMT lockstep, and kernel probe campaigns",
+			Doc:      "pipeline self-invariants under Reset reuse (skip-ahead vs a lockstep twin), SMT lockstep, and kernel probe campaigns",
 			Check:    CheckPipelineInvariants,
 			Sig:      Signature,
 		},
@@ -158,26 +159,69 @@ func CheckPipelineInvariants(data []byte) error {
 
 // checkInvariantsResetReuse audits the cpu.Machine reuse path: the same
 // program twice across Machine.Reset, then a final Reset to catch uop leaks.
+// A twin machine runs every round in lockstep (StepCycle, never skipping
+// ahead); after each round the two must agree on everything observable, which
+// holds the skip-ahead's bulk-applied idle spans to per-cycle stepping.
 func checkInvariantsResetReuse(data []byte) error {
 	spec := GenerateSpec(data)
 	m, err := cpu.NewMachine(Model(), 1)
 	if err != nil {
 		return err
 	}
+	twin, err := cpu.NewMachine(Model(), 1)
+	if err != nil {
+		return err
+	}
 	inv := pipeline.NewInvariantChecker()
 	m.Pipe.SetInvariantChecker(inv)
 	for round := 0; round < 2; round++ {
-		m.Reset(1)
-		if err := InstallEnv(m, spec.MemSeed); err != nil {
-			return err
+		for _, mc := range []*cpu.Machine{m, twin} {
+			mc.Reset(1)
+			if err := InstallEnv(mc, spec.MemSeed); err != nil {
+				return err
+			}
+			mc.Pipe.SetSignalHandler(spec.Handler)
 		}
-		m.Pipe.SetSignalHandler(spec.Handler)
-		if _, err := m.Pipe.Exec(spec.Prog, pipeBudget); err != nil {
+		res, err := m.Pipe.Exec(spec.Prog, pipeBudget)
+		if err != nil {
 			return fmt.Errorf("reset round %d: %w", round, err)
+		}
+		twinRes, err := lockstep(twin.Pipe, spec)
+		if err != nil {
+			return fmt.Errorf("reset round %d lockstep: %w", round, err)
+		}
+		if res != twinRes {
+			return fmt.Errorf("reset round %d: Exec %+v, lockstep %+v", round, res, twinRes)
+		}
+		if got, want := lockstepDigest(m), lockstepDigest(twin); got != want {
+			return fmt.Errorf("reset round %d: skip-ahead diverged from lockstep:\n got %s\nwant %s", round, got, want)
 		}
 	}
 	m.Reset(1)
 	return inv.Err()
+}
+
+// lockstep runs spec's program one StepCycle at a time under Exec's budget.
+func lockstep(p *pipeline.Pipeline, spec Spec) (pipeline.Result, error) {
+	p.BeginExec(spec.Prog, pipeBudget)
+	for {
+		done, err := p.StepCycle()
+		if err != nil || done {
+			return p.ExecResult(), err
+		}
+	}
+}
+
+// lockstepDigest extends snapDigest with what else the skip-ahead could
+// disturb: every register (timer reads included), the clear trace and the
+// DSB's LRU state.
+func lockstepDigest(m *cpu.Machine) string {
+	var regs [isa.NumRegs]uint64
+	for r := range regs {
+		regs[r] = m.Pipe.Reg(isa.Reg(r))
+	}
+	return fmt.Sprintf("%s all-regs=%x clears=%v dsb=%v",
+		snapDigest(m), regs, m.Pipe.Clears(), m.Pipe.DSBState())
 }
 
 // checkInvariantsSMT audits two sibling cores in cycle lockstep with shared

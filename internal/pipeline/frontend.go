@@ -34,21 +34,28 @@ func newDSBCache(capacity int) *dsbCache {
 	return &dsbCache{cap: capacity, lines: make([]dsbLine, 0, capacity)}
 }
 
-func (d *dsbCache) contains(lineVA uint64) bool {
-	if d.last < len(d.lines) && d.lines[d.last].va == lineVA {
-		d.tick++
-		d.lines[d.last].tick = d.tick
-		return true
-	}
-	for i := range d.lines {
-		if d.lines[i].va == lineVA {
-			d.tick++
-			d.lines[i].tick = d.tick
-			d.last = i
-			return true
+// contains reports whether lineVA is cached and, on a hit, records uses
+// consecutive lookups of it: fetch probes once per cycle (uses 1), and the
+// skip-ahead bulk-applies a span of probes that fetch spinning against a full
+// IDQ would have made. Both leave the LRU state bit-identical.
+func (d *dsbCache) contains(lineVA, uses uint64) bool {
+	i := d.last
+	if i >= len(d.lines) || d.lines[i].va != lineVA {
+		i = -1
+		for j := range d.lines {
+			if d.lines[j].va == lineVA {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
+			return false
 		}
 	}
-	return false
+	d.tick += uses
+	d.lines[i].tick = d.tick
+	d.last = i
+	return true
 }
 
 func (d *dsbCache) insert(lineVA uint64) {
@@ -91,6 +98,18 @@ func (d *dsbCache) copyFrom(src *dsbCache) {
 	d.last = src.last
 }
 
+// DSBState returns the DSB's LRU clock followed by each resident line's VA
+// and last-use tick, in slot order: everything about the DSB that a later run
+// can observe. Differential tests compare it across the skip-ahead (Exec) and
+// lockstep (StepCycle) drivers.
+func (p *Pipeline) DSBState() []uint64 {
+	st := []uint64{p.dsb.tick}
+	for _, l := range p.dsb.lines {
+		st = append(st, l.va, l.tick)
+	}
+	return st
+}
+
 // fetch pulls instructions along the predicted path into the IDQ.
 func (p *Pipeline) fetch() {
 	if p.fetchIdx < 0 || p.blockedOnRet != nil || p.cycle < p.fetchStallUntil {
@@ -103,7 +122,7 @@ func (p *Pipeline) fetch() {
 	// Per-cycle delivery path: DSB if the current line is cached and we are
 	// not in a post-resteer MITE window.
 	lineVA := p.prog.VA(p.fetchIdx) &^ (mem.LineSize - 1)
-	useDSB := p.miteLeft == 0 && p.dsb.contains(lineVA)
+	useDSB := p.miteLeft == 0 && p.dsb.contains(lineVA, 1)
 	width := p.cfg.MITEWidth
 	if useDSB {
 		width = p.cfg.FetchWidth

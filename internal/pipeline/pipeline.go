@@ -309,9 +309,15 @@ func (p *Pipeline) step(allowFF bool) error {
 // fetch stall (when fetch is otherwise able to run), a recovery or resteer
 // regime boundary (the per-cycle counter predicates flip there), the head
 // fault's assist completion, and the completion time of any in-flight uop.
-// Within the span the machine provably does nothing: fetch is gated, nothing
-// issues, starts, completes, or retires, so every per-cycle counter predicate
-// is constant and the bulk update is bit-identical to stepping.
+// Within the span the machine provably does nothing: nothing issues, starts,
+// completes, or retires, so every per-cycle counter predicate is constant and
+// the bulk update is bit-identical to stepping. Fetch is either gated or
+// spinning against a full IDQ — the common case in a transient window: once
+// issue blocks (a full ROB behind a faulting load, an LFENCE behind an
+// unresolved ret), the IDQ fills within a few cycles and stays full until
+// the window closes. A spinning fetch delivers nothing but still probes the
+// DSB and counts its cycle each time; those effects are bulk-applied too,
+// and since nothing issues, nothing can drain the IDQ inside the span.
 func (p *Pipeline) skipIdle() bool {
 	if p.halted {
 		return false
@@ -320,13 +326,16 @@ func (p *Pipeline) skipIdle() bool {
 	if horizon <= p.cycle {
 		return false
 	}
-	// Fetch runs (with PMU and DSB-LRU side effects) whenever it is armed and
-	// unstalled — even into a full IDQ — so an active frontend forces a step.
+	spinning := false
 	if p.fetchIdx >= 0 && p.blockedOnRet == nil && p.fetchIdx < p.prog.Len() {
-		if p.cycle >= p.fetchStallUntil {
-			return false
+		switch {
+		case p.cycle < p.fetchStallUntil:
+			horizon = minU64(horizon, p.fetchStallUntil)
+		case p.idq.Len() < p.cfg.IDQSize:
+			return false // fetch delivers this cycle
+		default:
+			spinning = true
 		}
-		horizon = minU64(horizon, p.fetchStallUntil)
 	}
 	// Counter regime boundaries.
 	if p.recoveryUntil > p.cycle {
@@ -437,6 +446,14 @@ func (p *Pipeline) skipIdle() bool {
 	}
 	if p.cycle < p.resteerUntil {
 		pm.Add(pmu.IntMiscClearResteerCycles, span)
+	}
+	if spinning {
+		// fetch()'s per-cycle effects with an IDQ that never has room.
+		pm.Add(pmu.IcFw32, span)
+		lineVA := p.prog.VA(p.fetchIdx) &^ (mem.LineSize - 1)
+		if p.miteLeft != 0 || !p.dsb.contains(lineVA, span) {
+			pm.Add(pmu.IdqAllMiteCyclesAnyUops, span)
+		}
 	}
 	p.cycle = horizon
 	return true
